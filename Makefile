@@ -18,6 +18,8 @@
 #   make bench-history  run-history archive overhead (disabled/enabled/contended)
 #   make bench-wal   durable insert throughput per fsync policy -> BENCH_wal.json
 #   make bench-serve serving-layer throughput guard -> BENCH_serve.json
+#   make bench-build vet the nested perfbench module (the repo benchmark) so a
+#                 facade change that breaks its imports fails here
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
 #   make demo     paper Examples 1 and 2 end to end, streamed with stats
 #   make console  the demo serving the live debug console on :6060
@@ -25,9 +27,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-history bench-wal bench-serve demo console serve
+.PHONY: verify test vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-history bench-wal bench-serve bench-build demo console serve
 
-verify: test vet race fuzz faults crash diag-smoke bench-exec bench-serve bench-obs-events
+verify: test vet race fuzz faults crash diag-smoke bench-exec bench-serve bench-obs-events bench-build
 
 test:
 	$(GO) build ./...
@@ -111,6 +113,11 @@ bench-wal:
 # committed BENCH_serve.json baseline. Artifact: BENCH_serve.json.
 bench-serve:
 	$(GO) run ./cmd/xsltbench -serve -serve-baseline BENCH_serve.json
+
+# The benchmark module (perfbench/) is a nested Go module, so the root
+# `go build ./... && go test ./...` never compiles it; vet it offline here.
+bench-build:
+	cd perfbench && $(GO) vet ./...
 
 # The serving daemon over the in-memory demo database: the paper stylesheet
 # at http://localhost:8080/v1/transform/paper, console at :6060.

@@ -4,9 +4,9 @@ package xsltdb
 // archiving (EnableRunHistory → obs.Archive), the trace-sampling policy that
 // decides which runs carry full traces into the archive, the always-on
 // cardinality-accuracy tracker, and the debug console handler that serves
-// all of it (cmd/xsltdb -console-addr). The per-run recording hooks live at
-// the two places an execution finishes: CompiledTransform.Run (xsltdb.go)
-// and Cursor.release (cursor.go), both of which call archiveRun.
+// all of it (cmd/xsltdb -console-addr). The per-run recording hook lives at
+// the one place an execution finishes, Cursor.release (cursor.go): Run is a
+// drained cursor, so both execution forms call archiveRun from there.
 
 import (
 	"net/http"

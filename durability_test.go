@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultpoint"
 )
@@ -374,6 +375,57 @@ func TestCloseIdempotentAndFailsCursors(t *testing.T) {
 	}
 	if err := d.ReplaceXMLView(keyedViewDef()); !errors.Is(err, ErrDatabaseClosed) {
 		t.Fatalf("ReplaceXMLView after Close: %v, want ErrDatabaseClosed", err)
+	}
+}
+
+// TestConcurrentCloseStopsRun: a Run registers with the database like a
+// cursor, so Close stops it mid-scan — Run returns ErrDatabaseClosed as soon
+// as the row in flight finishes, not after the whole scan — and the
+// snapshot-pin and active-execution gauges return to their starting values.
+func TestConcurrentCloseStopsRun(t *testing.T) {
+	const rows, stall = 200, 20 * time.Millisecond
+	d := newKeyedDB(t, rows)
+	ct, err := d.CompileTransform("rows", keyedSheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins, active := mSnapshotPins.Value(), mActiveCursors.Value()
+	// Every row construction stalls, so the full scan would take
+	// rows*stall = 4s.
+	faultpoint.EnableSleep("sqlxml.query.next", stall)
+	defer faultpoint.Reset()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ct.Run(context.Background())
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for faultpoint.Hits("sqlxml.query.next") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("run never started constructing rows")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after Close")
+	}
+	if !errors.Is(err, ErrDatabaseClosed) {
+		t.Fatalf("Run err = %v, want ErrDatabaseClosed", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*stall {
+		t.Fatalf("Run returned %v after Close, want about one stalled row (%v)", elapsed, stall)
+	}
+	if got := mSnapshotPins.Value(); got != pins {
+		t.Fatalf("snapshot pins = %d, want %d", got, pins)
+	}
+	if got := mActiveCursors.Value(); got != active {
+		t.Fatalf("active cursors = %d, want %d", got, active)
 	}
 }
 

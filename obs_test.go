@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -136,6 +137,58 @@ func TestTraceThroughCursor(t *testing.T) {
 	}
 	if sc := findSpan(exp, "scan"); sc.RowsOut != int64(rows) {
 		t.Errorf("scan rows_out = %d, want %d", sc.RowsOut, rows)
+	}
+}
+
+// TestChainSpanEndsAtRelease: a chained cursor's "chain" span ends at the
+// cursor's release however the stream stops — closed after one row, or
+// stopped by the pipeline governor's own output-bytes check on a stage that
+// expands its input — so traces show its wall time.
+func TestChainSpanEndsAtRelease(t *testing.T) {
+	const expander = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+		<xsl:template match="hit"><big pad="xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"><xsl:value-of select="."/></big></xsl:template>
+	</xsl:stylesheet>`
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		drain func(*Cursor) error
+	}{
+		{"closed-early", nil, func(cur *Cursor) error {
+			_, err := cur.Next()
+			cur.Close()
+			return err
+		}},
+		// The keyed rows fit 200 bytes; expanded, the second does not.
+		{"pipeline-limit", []Option{WithMaxOutputBytes(200)}, func(cur *Cursor) error {
+			if _, err := cur.Collect(); !errors.Is(err, ErrLimitExceeded) {
+				return fmt.Errorf("collect err = %v, want ErrLimitExceeded", err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newKeyedDB(t, 4)
+			ct, err := d.CompileTransform("rows", keyedSheet, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain, err := ct.Then(expander)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.New()
+			defer tr.Release()
+			cur, err := chain.OpenCursor(context.Background(), WithTrace(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.drain(cur); err != nil {
+				t.Fatal(err)
+			}
+			if sp := findSpan(tr.Export(), "chain"); sp == nil || sp.DurNS == 0 {
+				t.Fatalf("chain span not ended:\n%s", tr.Tree())
+			}
+		})
 	}
 }
 

@@ -3,8 +3,8 @@ package xsltdb
 // The facade half of the observability layer: the engine's built-in metric
 // instruments (registered on obs.Default and served by Registry.Handler /
 // cmd/xsltdb -metrics-addr) and the slow-run log. Per-run trace plumbing
-// lives in xsltdb.go (Run) and cursor.go (OpenCursor); everything here is
-// the process-wide aggregation those runs feed.
+// lives in cursor.go, the one executor behind Run and OpenCursor;
+// everything here is the process-wide aggregation those runs feed.
 
 import (
 	"sync"
@@ -40,7 +40,7 @@ var (
 	mPanics = obs.Default.NewCounter("xsltdb_panics_recovered_total",
 		"Engine panics contained at the facade boundary.")
 	mActiveCursors = obs.Default.NewGauge("xsltdb_active_cursors",
-		"Cursors currently open (streaming executions in flight).")
+		"Executions currently in flight: open cursors and Run calls (a Run is a drained cursor).")
 	mSlowRuns = obs.Default.NewCounter("xsltdb_slow_runs_total",
 		"Runs that exceeded their transform's slow threshold.")
 	mMisestimates = obs.Default.NewCounter("xsltdb_misestimates_total",

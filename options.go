@@ -8,7 +8,7 @@ import (
 )
 
 // Option configures CompileTransform. Options are functional: compose
-// WithForcedStrategy, WithParallelism, WithOuterPath, the governance knobs
+// WithForcedStrategy, WithOuterPath, the governance knobs
 // (WithTimeout, WithMaxRows, ...) and WithPlanTag freely; later options win.
 type Option interface {
 	applyOption(*compileOptions)
@@ -24,12 +24,6 @@ func (f optionFunc) applyOption(o *compileOptions) { f(o) }
 // ErrRewriteFellBack when the forced strategy cannot be reached.
 func WithForcedStrategy(s Strategy) Option {
 	return optionFunc(func(o *compileOptions) { o.Force = &s })
-}
-
-// WithParallelism runs the SQL strategy with row-level parallelism across n
-// workers when n > 1 (the paper's "parallel manner" aggregation note).
-func WithParallelism(n int) Option {
-	return optionFunc(func(o *compileOptions) { o.Parallelism = n })
 }
 
 // WithOuterPath composes an XQuery child path over the TRANSFORM OUTPUT
@@ -100,9 +94,6 @@ type compileOptions struct {
 	// OuterPath composes an XQuery child path over the TRANSFORM OUTPUT
 	// (paper Example 2): e.g. []string{"table", "tr"}.
 	OuterPath []string
-	// Parallelism runs the SQL strategy with row-level parallelism when
-	// > 1 (the paper's "parallel manner" aggregation note).
-	Parallelism int
 
 	// Timeout bounds each execution's wall time (see WithTimeout).
 	Timeout time.Duration
@@ -138,8 +129,8 @@ func buildOptions(opts []Option) compileOptions {
 }
 
 // planKey identifies one cached compilation: same view (at the same
-// version), same stylesheet text, same plan-affecting options. Parallelism
-// and the resource-governance options (Timeout, MaxRows, MaxOutputBytes,
+// version), same stylesheet text, same plan-affecting options. The
+// resource-governance options (Timeout, MaxRows, MaxOutputBytes,
 // MaxRecursionDepth) are deliberately excluded — they tune execution, not
 // the compiled plan — so transforms differing only in those share a cache
 // entry (and therefore a circuit breaker).

@@ -106,24 +106,23 @@ func TestRunContextCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestParallelRunCancel: the same promptness contract with the SQL strategy
-// fanned out over workers — the dispatch loop and every worker must stop.
+// TestParallelRunCancel: the same promptness contract with the driving scan
+// fanned out over morsel workers — the merger and every worker must stop.
 func TestParallelRunCancel(t *testing.T) {
 	d := newBigDeptDB(t, 10_000)
-	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4))
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gate on the driving scan: it is the long deterministic phase of the
-	// parallel path (worker construction finishes in a burst), and both the
-	// scan iterator and the worker dispatch loop share the same governor.
+	// Gate on the driving scan: the morsel workers and the merger share the
+	// run's governor.
 	faultpoint.EnableAfter("relstore.scan.batch", math.MaxInt32, nil)
 	defer faultpoint.Reset()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ct.Run(ctx)
+		_, err := ct.Run(ctx, WithWorkers(4))
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -282,6 +281,24 @@ func TestDegradationOnInjectedFault(t *testing.T) {
 	if es.String() == "" || !strings.Contains(es.String(), "degradations=1") {
 		t.Fatalf("stats line must surface the degradation: %s", es.String())
 	}
+
+	// A cursor degrades too while it has handed out no row: fail the SQL
+	// plan on its very first row.
+	faultpoint.Enable("sqlxml.query.next", errBoom)
+	cur, err := ct.OpenCursor(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = cur.Collect()
+	if err != nil {
+		t.Fatalf("degraded cursor failed: %v", err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("degraded cursor rows differ:\n%v\n%v", got, want)
+	}
+	if cs := cur.Stats(); cs.StrategyUsed != StrategyXQuery || cs.Degradations != 1 {
+		t.Fatalf("degraded cursor: strategy=%v degradations=%d", cs.StrategyUsed, cs.Degradations)
+	}
 }
 
 // TestCircuitBreakerTripAndRecover drives the SQL strategy to failure until
@@ -384,6 +401,22 @@ func TestPanicContainment(t *testing.T) {
 		t.Fatalf("panics=%d degradations=%d, want 1/1", es.PanicsRecovered, es.Degradations)
 	}
 
+	// The same first-row panic under a cursor: contained, and degraded
+	// before any row was handed out.
+	cur, err := ct.OpenCursor(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = cur.Collect(); err != nil {
+		t.Fatalf("degraded cursor failed: %v", err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("degraded cursor rows differ:\n%v\n%v", got, want)
+	}
+	if cs := cur.Stats(); cs.PanicsRecovered != 1 || cs.Degradations != 1 {
+		t.Fatalf("cursor panics=%d degradations=%d, want 1/1", cs.PanicsRecovered, cs.Degradations)
+	}
+
 	// Forced strategy: nothing to degrade to, so the contained panic is
 	// the caller's error — typed, with the stack attached.
 	forced, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithForcedStrategy(StrategySQL))
@@ -454,43 +487,40 @@ func TestCursorDoubleClose(t *testing.T) {
 // in flight must release the iterators exactly once and leave the cursor in
 // a coherent terminal state — run with -race.
 func TestCursorCloseDuringNext(t *testing.T) {
-	for _, opts := range [][]Option{nil, {WithParallelism(4)}} {
-		d := newBigDeptDB(t, 2_000)
-		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := ct.OpenCursor(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				if _, err := cur.Next(); err != nil {
-					// Three legitimate terminal states: the drain won the
-					// race (EOF), Close landed between rows (closed), or it
-					// landed mid-pull (canceled). Anything else is a bug.
-					if !errors.Is(err, io.EOF) && !errors.Is(err, ErrCursorClosed) && !errors.Is(err, ErrCanceled) {
-						t.Errorf("Next during close race = %v", err)
-					}
-					return
-				}
-			}
-		}()
-		// Let the drain loop get going, then yank the cursor out from
-		// under it.
-		time.Sleep(2 * time.Millisecond)
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-		<-done
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_ = cur.Stats()
+	d := newBigDeptDB(t, 2_000)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cur, err := ct.OpenCursor(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, err := cur.Next(); err != nil {
+				// Three legitimate terminal states: the drain won the race
+				// (EOF), Close landed between rows (closed), or it landed
+				// mid-pull (canceled). Anything else is a bug.
+				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrCursorClosed) && !errors.Is(err, ErrCanceled) {
+					t.Errorf("Next during close race = %v", err)
+				}
+				return
+			}
+		}
+	}()
+	// Let the drain loop get going, then yank the cursor out from under it.
+	time.Sleep(2 * time.Millisecond)
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = cur.Stats()
 }
 
 // TestCursorCancelPrompt: cancelling the cursor's context aborts an

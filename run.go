@@ -93,12 +93,12 @@ func WithTrace(t *obs.Trace) RunOption {
 	return runOptionFunc(func(o *runOptions) { o.trace = t })
 }
 
-// WithWorkers bounds this run's worker pools: the morsel workers a large
-// full scan fans out to AND the parallel construction workers of the SQL
-// strategy. 1 forces fully serial execution (the debugging baseline — output
-// is byte-identical at any worker count); 0 or unset means the defaults
-// (GOMAXPROCS morsel workers, compile-time WithParallelism for
-// construction). Negative counts are rejected as ErrBadRunOption.
+// WithWorkers bounds this run's scan workers: the morsel workers a large
+// full scan fans out to. Construction and evaluation always run on the
+// caller's goroutine, one row per pull. 1 forces a serial scan (the
+// debugging baseline — output is byte-identical at any worker count); 0 or
+// unset means GOMAXPROCS workers. Negative counts are rejected as
+// ErrBadRunOption.
 func WithWorkers(n int) RunOption {
 	return runOptionFunc(func(o *runOptions) {
 		if n < 0 {

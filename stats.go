@@ -48,8 +48,9 @@ type ExecStats struct {
 	EstRows int64
 	// CompileWall is the wall time of the compile/recompile stage.
 	CompileWall time.Duration
-	// ExecWall is the wall time of the execution stage (for cursors: the
-	// time spent inside Next, excluding caller think time).
+	// ExecWall is the wall time of the execution stage: opening the
+	// strategy plus the time spent inside Next (a Run's drain; for cursors,
+	// caller think time between Next calls is excluded).
 	ExecWall time.Duration
 
 	// StrategyUsed is the strategy that actually produced the result —

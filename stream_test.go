@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,6 +61,15 @@ func TestCursorMatchesRunAllStrategies(t *testing.T) {
 				t.Fatalf("%v row %d:\ncursor: %s\nrun:    %s", s, i, got[i], want[i])
 			}
 		}
+		// Run is the same pipeline drained, so every non-timing stat —
+		// strategy, rows, access path, estimate, degradations, breaker and
+		// sink counters — agrees too.
+		runStats, curStats := wantRes.Stats, cur.Stats()
+		runStats.CompileWall, runStats.ExecWall = 0, 0
+		curStats.CompileWall, curStats.ExecWall = 0, 0
+		if runStats != curStats {
+			t.Fatalf("%v: stats differ:\nrun:    %+v\ncursor: %+v", s, runStats, curStats)
+		}
 	}
 }
 
@@ -100,7 +110,8 @@ func TestChainedCursorMatchesRun(t *testing.T) {
 	stage2 := `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 		<xsl:template match="report"><rich n="{count(row[. > 2000])}"/></xsl:template>
 	</xsl:stylesheet>`
-	ct, err := d.CompileTransform("dept_emp", stage1)
+	arch := d.EnableRunHistory(0)
+	ct, err := d.CompileTransform("dept_emp", stage1, WithTraceSampling(SampleAlways()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +119,20 @@ func TestChainedCursorMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both forms finish their telemetry after the chained stages ran: the
+	// archived trace carries the stage spans.
+	archivedStage := func(kind string) {
+		t.Helper()
+		rec := arch.Runs(1)[0]
+		if rec.Kind != kind || !strings.Contains(rec.Trace, "stage-1") {
+			t.Fatalf("%s record %+v lacks the chained stage:\n%s", kind, rec, rec.Trace)
+		}
+	}
 	wantRes, err := chain.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	archivedStage("run")
 	want := wantRes.Rows
 	cur, err := chain.OpenCursor(context.Background())
 	if err != nil {
@@ -121,6 +142,7 @@ func TestChainedCursorMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	archivedStage("cursor")
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("chained cursor %v != run %v", got, want)
 	}
@@ -293,13 +315,13 @@ func TestTypedErrors(t *testing.T) {
 func TestPlanTagOption(t *testing.T) {
 	d := newDeptDB(t)
 	base, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet,
-		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithParallelism(2))
+		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	entriesBefore := len(d.PlanCacheEntries())
 	same, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet,
-		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithParallelism(2))
+		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +329,7 @@ func TestPlanTagOption(t *testing.T) {
 		t.Fatalf("identical compile added a cache entry: %d -> %d", entriesBefore, n)
 	}
 	tagged, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet,
-		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithParallelism(2),
+		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"),
 		WithPlanTag("tenant-a"))
 	if err != nil {
 		t.Fatal(err)
@@ -356,12 +378,12 @@ func TestPlanCacheHit(t *testing.T) {
 	if s := d.PlanCacheStats(); s.CacheMisses != 2 {
 		t.Fatalf("outer-path compile should miss: %+v", s)
 	}
-	// Parallelism does not affect the plan → still a hit.
-	if _, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4)); err != nil {
+	// The original options again → still a hit.
+	if _, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.PlanCacheStats(); s.CacheHits != 2 {
-		t.Fatalf("parallelism-only compile should hit: %+v", s)
+		t.Fatalf("repeated compile should hit: %+v", s)
 	}
 
 	// Redefining the view invalidates: next compile is a miss, and the
@@ -495,7 +517,7 @@ func TestConcurrentRunAndReplace(t *testing.T) {
 func TestConcurrentParallelExecAndStats(t *testing.T) {
 	d := newDeptDB(t)
 	_ = d.CreateIndex("emp", "deptno")
-	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4))
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}

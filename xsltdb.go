@@ -17,16 +17,15 @@
 // falling back gracefully: SQL/XML plan → functional XQuery over
 // materialized rows → functional XSLT interpretation ("no rewrite").
 // Compiled plans are cached per (view, version, stylesheet, options) and
-// shared across transforms; execution is available both materializing
-// (Run) and streaming (OpenCursor), each reporting per-run ExecStats.
+// shared across transforms. Execution is one pull pipeline, streamed
+// (OpenCursor) or drained into a Result (Run), each reporting per-run
+// ExecStats.
 package xsltdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -552,10 +551,9 @@ func (ct *CompiledTransform) Recompiles() int {
 }
 
 // CompileTransform compiles stylesheet text against the named view,
-// choosing the strongest applicable strategy. Options may be the functional
-// kind (WithForcedStrategy, WithParallelism, WithOuterPath) or a single
-// legacy compileOptions struct. Identical compilations are served from the
-// database's plan cache.
+// choosing the strongest applicable strategy. Options (WithForcedStrategy,
+// WithOuterPath, the governance knobs, ...) compose freely. Identical
+// compilations are served from the database's plan cache.
 func (d *Database) CompileTransform(viewName, stylesheet string, opts ...Option) (*CompiledTransform, error) {
 	co := buildOptions(opts)
 	st, err := d.compilePlan(viewName, stylesheet, co, nil)
@@ -766,290 +764,22 @@ func (ct *CompiledTransform) SQL() string {
 
 // Run executes the transformation — one serialized result per qualifying
 // driving row — and returns the rows together with this run's private
-// ExecStats. It is the single execution entry point: the context governs
-// cancellation (plus the transform's WithTimeout, if any), and RunOptions
-// parameterize the compiled plan without recompiling it — WithParam binds
-// variables, WithWhere adds driving predicates (pushed down to index
-// probes when possible), WithoutPushdown forces the full-scan baseline.
+// ExecStats. It opens the same pull pipeline as OpenCursor and drains it:
+// the context governs cancellation (plus the transform's WithTimeout, if
+// any), and RunOptions parameterize the compiled plan without recompiling
+// it — WithParam binds variables, WithWhere adds driving predicates (pushed
+// down to index probes when possible), WithoutPushdown forces the full-scan
+// baseline.
 //
-// A transform whose view was redefined since compilation recompiles
-// automatically first (§7.3). On a run-stage error the returned Result is
-// still non-nil: its Stats describe the work done up to the failure,
-// including degradations, breaker activity, and recovered panics.
+// Because no row reaches the caller before the drain ends, a failing or
+// panicking strategy degrades to the next one in the chain at any row, not
+// only before the first. A transform whose view was redefined since
+// compilation recompiles automatically first (§7.3). On a run-stage error
+// the returned Result is still non-nil: its Stats describe the work done up
+// to the failure, including degradations, breaker activity, and recovered
+// panics.
 func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Result, error) {
-	if err := ct.db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ro := buildRunOptions(opts)
-	// A run under a slow threshold traces itself when the caller did not,
-	// so a slow-run report always carries the full operator tree. The same
-	// applies when the trace-sampling policy selects this run for the
-	// run-history archive.
-	hist := ct.db.history.Load()
-	sampled := ct.opts.Sampling.wantTrace(hist)
-	tr := ro.trace
-	ownTrace := false
-	if tr == nil && (sampled || (ct.opts.SlowThreshold > 0 && ct.opts.SlowSink != nil)) {
-		tr = obs.New()
-		ownTrace = true
-	}
-	if ownTrace {
-		defer tr.Release()
-	}
-
-	start := time.Now()
-	root := tr.Start("run")
-	defer root.End()
-	if root != nil {
-		root.SetAttr("view", ct.viewName)
-	}
-	compileSp := root.Start("compile")
-	st, recompiled, err := ct.ensureFresh(compileSp)
-	compileSp.End()
-	if err != nil {
-		root.Fail(err)
-		return nil, err
-	}
-	spec, access, err := ct.db.runSpec(st, ro, false)
-	if err != nil {
-		root.Fail(err)
-		return nil, err
-	}
-	pin := snapPins.pin()
-	defer snapPins.unpin(pin)
-	if ct.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, ct.opts.Timeout)
-		defer cancel()
-	}
-	res := &Result{Stats: ExecStats{Recompiles: int64(recompiled), CompileWall: time.Since(start)}}
-	es := &res.Stats
-	var sink relstore.Stats
-	rows, err := ct.db.runGoverned(ctx, st, ct.opts, spec, &sink, es, root)
-	es.ExecWall = time.Since(start) - es.CompileWall
-	es.mergeSink(sink.Snapshot())
-	es.RowsProduced = int64(len(rows))
-	es.AccessPath = *access
-	es.EstRows = specEstRows(spec)
-	ct.db.exec.AddStats(&sink)
-	if root != nil {
-		root.AddRowsOut(es.RowsProduced)
-		if es.AccessPath != "" {
-			root.SetAttr("access_path", es.AccessPath)
-		}
-		root.Fail(err)
-		root.End()
-	}
-	recordRunMetrics(es, err)
-	emitSlowRun(ct.opts.SlowThreshold, ct.opts.SlowSink, ct.viewName, tr, es, err)
-	keep := sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
-	ct.db.archiveRun(hist, "run", ct.viewName, start, spec, es, err, tr, keep, err == nil)
-	res.Rows = rows
-	if err != nil {
-		res.Rows = nil
-		return res, err
-	}
-	return res, nil
-}
-
-// runGoverned walks the plan's degradation chain: each strategy is skipped
-// if its circuit breaker is open (never the last — something must always
-// run), attempted under a fresh governor (so resource budgets never
-// double-charge across attempts), and on a non-governance failure the run
-// falls through to the next strategy. Governance verdicts — cancellation,
-// resource limits, recursion limits — are final: retrying cannot help, so
-// they return immediately and do not count against the breaker.
-func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, es *ExecStats, root *obs.Span) ([]string, error) {
-	chain := st.chain(opts)
-	var lastErr error
-	for i, s := range chain {
-		last := i == len(chain)-1
-		if !last && !st.brk.allow(s) {
-			es.BreakerSkips++
-			if root != nil {
-				sk := root.Start(s.String())
-				sk.SetAttr("breaker", "open")
-				sk.SetAttr("skipped", "true")
-				sk.End()
-			}
-			continue
-		}
-		g := governor.New(ctx).Limits(opts.MaxRows, opts.MaxOutputBytes, opts.MaxRecursionDepth)
-		attempt := root.Start(s.String())
-		if attempt != nil {
-			if bs := st.brk.state(s); bs != "closed" {
-				attempt.SetAttr("breaker", bs)
-			}
-		}
-		spec.Span = attempt // strategies run sequentially; the last wins
-		var rows []string
-		var err error
-		if d.history.Load() != nil {
-			// With the console enabled, label this goroutine's profile
-			// samples so /debug/pprof/profile breaks CPU down by strategy
-			// and view. Only here — labeling per cursor row would dominate
-			// the per-row cost.
-			pprof.Do(ctx, pprof.Labels("strategy", s.String(), "view", st.view.Name), func(context.Context) {
-				rows, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
-			})
-		} else {
-			rows, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
-		}
-		if attempt != nil {
-			attempt.SetAttr("gov_ticks", g.Ticks())
-		}
-		es.GovTicks += int64(g.Ticks())
-		if err == nil {
-			st.brk.success(s)
-			es.StrategyUsed = s
-			if attempt != nil {
-				attempt.AddRowsOut(int64(len(rows)))
-			}
-			attempt.End()
-			return rows, nil
-		}
-		attempt.Fail(err)
-		attempt.End()
-		if errors.Is(err, ErrInternal) {
-			es.PanicsRecovered++
-		}
-		if governor.IsGovernance(err) {
-			return nil, err
-		}
-		if st.brk.failure(s) {
-			es.BreakerTrips++
-		}
-		lastErr = err
-		if !last {
-			es.Degradations++
-			if root != nil {
-				root.SetAttr("degraded_from", s.String())
-				root.SetAttr("degradation_reason", err.Error())
-			}
-		}
-	}
-	return nil, lastErr
-}
-
-// runStrategy executes one strategy of a compiled state under governor g,
-// with counters routed to sink and the run's spec applied: the SQL plan
-// binds parameters and extra predicates into its access path; the fallback
-// strategies apply the same driving predicates at view materialization (so
-// every strategy selects the same rows) and bind the parameters into the
-// XQuery environment. Engine panics are contained here — at the strategy
-// boundary — so a panicking strategy degrades like any other failure
-// instead of crashing the caller.
-func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, g *governor.G, sp *obs.Span) (out []string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("xsltdb: %s: %w", s, &InternalError{Panic: r, Stack: debug.Stack()})
-		}
-	}()
-
-	// charge bills one produced row against the governor's budgets. It also
-	// ticks the cancellation check so that post-query loops (serialization,
-	// per-row evaluation) stay responsive even with no budgets configured.
-	charge := func(row string) error {
-		if err := g.Tick(); err != nil {
-			return err
-		}
-		if err := g.AddRow(); err != nil {
-			return err
-		}
-		return g.AddOutput(len(row))
-	}
-
-	switch s {
-	case StrategySQL:
-		// A per-run WithWorkers overrides the compile-time parallelism for
-		// both the scan's morsel pool (via spec.Batch) and the construction
-		// fan-out here.
-		workers := opts.Parallelism
-		if spec != nil && spec.Batch.Workers > 0 {
-			workers = spec.Batch.Workers
-		}
-		docs, err := d.exec.ExecQueryParallelSpec(st.plan, workers, sink, g, spec)
-		if err != nil {
-			return nil, err
-		}
-		serSp := sp.Start("serialize")
-		defer serSp.End()
-		serSp.AddRowsIn(int64(len(docs)))
-		out := make([]string, len(docs))
-		for i, doc := range docs {
-			out[i] = serialize(doc)
-			if err := charge(out[i]); err != nil {
-				serSp.Fail(err)
-				return nil, err
-			}
-		}
-		serSp.AddRowsOut(int64(len(out)))
-		return out, nil
-
-	case StrategyXQuery:
-		rows, err := d.exec.MaterializeViewSpec(st.view, st.drivingWhere(), sink, g, spec)
-		if err != nil {
-			return nil, err
-		}
-		evalSp := sp.Start("xquery-eval")
-		defer evalSp.End()
-		var meter *xquery.EvalStats
-		if evalSp != nil {
-			meter = new(xquery.EvalStats)
-		}
-		out := make([]string, len(rows))
-		for i, row := range rows {
-			evalSp.AddRowsIn(1)
-			env := bindEnv(xquery.NewEnv(xquery.Item(row)), spec.Params)
-			seq, err := xquery.EvalModule(st.rewrite.Module, env.Govern(g).Meter(meter))
-			if err != nil {
-				evalSp.Fail(err)
-				return nil, fmt.Errorf("xsltdb: row %d: %w", i, err)
-			}
-			out[i] = xquery.SerializeSeq(seq)
-			evalSp.AddRowsOut(1)
-			if err := charge(out[i]); err != nil {
-				evalSp.Fail(err)
-				return nil, err
-			}
-		}
-		if meter != nil {
-			evalSp.SetAttr("eval_steps", meter.Steps.Load())
-			evalSp.SetAttr("func_calls", meter.FuncCalls.Load())
-		}
-		return out, nil
-
-	default: // StrategyNoRewrite
-		rows, err := d.exec.MaterializeViewSpec(st.view, st.drivingWhere(), sink, g, spec)
-		if err != nil {
-			return nil, err
-		}
-		eng := xslt.New(st.sheet).Govern(g)
-		interpSp := sp.Start("xslt-interpret")
-		defer interpSp.End()
-		out := make([]string, len(rows))
-		for i, row := range rows {
-			interpSp.AddRowsIn(1)
-			s, err := eng.TransformToString(row)
-			if err != nil {
-				interpSp.Fail(err)
-				return nil, fmt.Errorf("xsltdb: row %d: %w", i, err)
-			}
-			out[i] = s
-			interpSp.AddRowsOut(1)
-			if err := charge(s); err != nil {
-				interpSp.Fail(err)
-				return nil, err
-			}
-		}
-		if interpSp != nil {
-			interpSp.SetAttr("templates_applied", eng.TemplatesApplied())
-		}
-		return out, nil
-	}
+	return ct.run(ctx, buildRunOptions(opts), nil)
 }
 
 func serialize(n *xmltree.Node) string {
@@ -1155,8 +885,7 @@ func (c *ChainedTransform) Stages() (rewritten, interpreted int) {
 }
 
 // applyStages runs one row of the first stage's output through every
-// chained stage under governor g (nil = ungoverned); shared by the
-// materializing Run and the streaming cursor. sps, when non-nil, carries
+// chained stage under governor g (nil = ungoverned). sps, when non-nil, carries
 // one operator span per stage (see stageSpans): each accumulates the
 // per-row wall time and row counts of its stage.
 func applyStages(stages []chainStage, sps []*obs.Span, row string, g *governor.G) (string, error) {
@@ -1198,8 +927,7 @@ func applyStages(stages []chainStage, sps []*obs.Span, row string, g *governor.G
 
 // stageSpans opens one operator span per chained stage under a "chain" root
 // span of tr (nil-safe: a nil trace yields nil everywhere, and applyStages
-// skips all span work). The caller Ends the returned root when the pipeline
-// finishes.
+// skips all span work). The cursor Ends the returned root at release.
 func stageSpans(tr *obs.Trace, stages []chainStage) ([]*obs.Span, *obs.Span) {
 	if tr == nil {
 		return nil, nil
@@ -1218,44 +946,10 @@ func stageSpans(tr *obs.Trace, stages []chainStage) ([]*obs.Span, *obs.Span) {
 }
 
 // Run executes the pipeline for every view row: the first stage runs with
-// the given RunOptions, then each row flows through every chained stage.
-// The chained stages honor the FIRST stage's full governance options — not
-// just its recursion bound: MaxRows and MaxOutputBytes are enforced against
-// the pipeline's final rows (a chained stage can expand its input, so
-// charging only the first stage would let the pipeline overshoot the
-// caller's budget), and WithTimeout covers the chained processing too.
+// the given RunOptions, then each row flows through every chained stage —
+// the chained cursor, drained. The chained stages honor the FIRST stage's
+// full governance options (see OpenCursor), and WithTimeout covers the
+// chained processing too.
 func (c *ChainedTransform) Run(ctx context.Context, opts ...RunOption) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fo := c.first.opts
-	if fo.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, fo.Timeout)
-		defer cancel()
-	}
-	res, err := c.first.Run(ctx, opts...)
-	if err != nil {
-		return res, err
-	}
-	sps, chainSp := stageSpans(buildRunOptions(opts).trace, c.stages)
-	defer chainSp.End()
-	g := governor.New(ctx).Limits(fo.MaxRows, fo.MaxOutputBytes, fo.MaxRecursionDepth)
-	for i, row := range res.Rows {
-		out, err := applyStages(c.stages, sps, row, g)
-		if err != nil {
-			res.Rows = nil
-			return res, err
-		}
-		if err := g.AddRow(); err != nil {
-			res.Rows = nil
-			return res, err
-		}
-		if err := g.AddOutput(len(out)); err != nil {
-			res.Rows = nil
-			return res, err
-		}
-		res.Rows[i] = out
-	}
-	return res, nil
+	return c.first.run(ctx, buildRunOptions(opts), c.stages)
 }
