@@ -70,42 +70,13 @@ func WithTraceSampling(p TraceSampling) Option {
 	return optionFunc(func(o *compileOptions) { o.Sampling = p })
 }
 
-// wantTrace decides at run start whether this execution should carry a
-// trace for the archive. hist is the database's archive (nil = disabled →
-// never sample). The slow-only and errors-only policies must trace
-// speculatively: whether the run qualifies is only known when it finishes.
-func (p TraceSampling) wantTrace(hist *obs.Archive) bool {
-	if hist == nil {
-		return false
-	}
-	switch p.mode {
-	case samplingAlways, samplingSlow, samplingErrors:
-		return true
-	case samplingRatio:
-		return sampleHit(hist.SampleTick(), p.ratio)
-	}
-	return false
-}
-
-// keep decides at run end whether the (speculatively) collected trace is
-// retained in the archive record.
-func (p TraceSampling) keep(wall time.Duration, err error) bool {
-	switch p.mode {
-	case samplingAlways, samplingRatio:
-		return true
-	case samplingSlow:
-		return wall >= p.threshold
-	case samplingErrors:
-		return err != nil
-	}
-	return false
-}
-
 // WantTrace decides up front — before any work has run — whether the seq-th
-// unit of work (1-based) should carry a trace under this policy. It is the
-// serving layer's entry into the same policy engine the archive uses: the
+// unit of work (1-based) should carry a trace under this policy. The
 // slow-only and errors-only policies return true because qualification is
-// only known at the end. The zero policy returns false.
+// only known at the end; Sample then decides whether the trace is kept. The
+// run-history archive (sequence from Archive.SampleTick) and the serving
+// layer (its own request sequence) both decide through this pair. The zero
+// policy returns false.
 func (p TraceSampling) WantTrace(seq uint64) bool {
 	switch p.mode {
 	case samplingAlways, samplingSlow, samplingErrors:
@@ -117,10 +88,10 @@ func (p TraceSampling) WantTrace(seq uint64) bool {
 }
 
 // Sample decides at completion time whether the seq-th unit of work (1-based)
-// is selected by this policy, given its wall time and terminal error — the
-// serving layer's wide-event sampling decision. The zero policy returns
-// false; serve treats the zero value as "emit every event" before consulting
-// this method.
+// is selected by this policy, given its wall time and terminal error: the
+// archive's keep-the-trace decision and the serving layer's wide-event
+// sampling decision. The zero policy returns false; serve treats the zero
+// value as "emit every event" before consulting this method.
 func (p TraceSampling) Sample(seq uint64, wall time.Duration, err error) bool {
 	switch p.mode {
 	case samplingAlways:

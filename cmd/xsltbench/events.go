@@ -54,8 +54,7 @@ func benchEventsOverhead(reps, scale int, baselinePath string) {
 	total := 8 * 400 * scale
 
 	// The events-on server also runs the diagnostics layer, so the <3% guard
-	// covers detector evaluation and the latency-spike window feed, not just
-	// event encode.
+	// covers detector evaluation, not just event encode.
 	diagDir, err := os.MkdirTemp("", "xsltbench-diag-")
 	check(err)
 	defer os.RemoveAll(diagDir)

@@ -92,10 +92,12 @@ type Cursor struct {
 	viewName string
 
 	// Archive bookkeeping: opened is the execution's start (RunRecord
-	// start), sampled the trace-sampling decision made at open, pinID the
-	// snapshot-pin handle held until release.
+	// start), sampled the trace-sampling decision made at open and seq the
+	// sampling sequence number it drew, pinID the snapshot-pin handle held
+	// until release.
 	opened  time.Time
 	sampled bool
+	seq     uint64
 	pinID   uint64
 
 	mu           sync.Mutex
@@ -208,14 +210,19 @@ func (ct *CompiledTransform) open(ctx context.Context, ro runOptions, stages []c
 	if hold {
 		kind = "run"
 	}
-	// A run under a slow threshold traces itself when the caller did not,
-	// so a slow-run report always carries the full operator tree. The same
-	// applies when the trace-sampling policy selects this run for the
-	// run-history archive.
-	sampled := ct.opts.Sampling.wantTrace(ct.db.history.Load())
+	// A run the trace-sampling policy may keep in the run-history archive
+	// traces itself when the caller did not. The zero policy never samples,
+	// so it draws no sequence number from the archive's shared counter.
+	hist := ct.db.history.Load()
+	var seq uint64
+	sampled := false
+	if hist != nil && ct.opts.Sampling != (TraceSampling{}) {
+		seq = hist.SampleTick()
+		sampled = ct.opts.Sampling.WantTrace(seq)
+	}
 	tr := ro.trace
 	ownTrace := false
-	if tr == nil && (sampled || (ct.opts.SlowThreshold > 0 && ct.opts.SlowSink != nil)) {
+	if tr == nil && sampled {
 		tr = obs.New()
 		ownTrace = true
 	}
@@ -256,7 +263,7 @@ func (ct *CompiledTransform) open(ctx context.Context, ro runOptions, stages []c
 		spec: spec, access: access,
 		recompiles: int64(recompiled), compileWall: time.Since(start),
 		trace: tr, ownTrace: ownTrace, kind: kind, root: root, viewName: ct.viewName,
-		opened: start, sampled: sampled,
+		opened: start, sampled: sampled, seq: seq,
 	}
 	c.stageSps, c.chainSp = stageSpans(tr, stages)
 	if !ct.db.registerCursor(c) {
@@ -641,11 +648,9 @@ func (c *Cursor) endAttempt(err error) {
 
 // release is the execution's single finish point: it cancels the run,
 // merges this execution's counters into the database-wide aggregate,
-// finishes its spans, records run metrics, fires the slow-run sink and
-// archives the run — exactly once however Close, end-of-stream, and errors
-// interleave. Must be called WITHOUT c.mu held: it takes the lock briefly
-// for the stats snapshot and runs the sink callback (which may call Stats)
-// unlocked.
+// finishes its spans, records run metrics and archives the run — exactly
+// once however Close, end-of-stream, and errors interleave. Must be called
+// WITHOUT c.mu held: it takes the lock briefly for the stats snapshot.
 func (c *Cursor) release() {
 	c.releaseOnce.Do(func() {
 		c.cancel()
@@ -673,11 +678,10 @@ func (c *Cursor) release() {
 			c.root.End()
 		}
 		recordRunMetrics(&es, outcome)
-		emitSlowRun(c.opts.SlowThreshold, c.opts.SlowSink, c.viewName, c.trace, &es, outcome)
 		// err (pre-normalization) distinguishes a drained stream (io.EOF:
 		// the actual row count is the true cardinality) from an early Close
 		// or failure, where the actual says nothing about the estimate.
-		keep := c.sampled && c.opts.Sampling.keep(es.CompileWall+es.ExecWall, outcome)
+		keep := c.sampled && c.opts.Sampling.Sample(c.seq, es.CompileWall+es.ExecWall, outcome)
 		c.db.archiveRun(c.db.history.Load(), c.kind, c.viewName, c.opened, c.spec, &es, outcome, c.trace, keep, err == io.EOF)
 		if c.ownTrace {
 			c.trace.Release()

@@ -112,6 +112,42 @@ func TestTraceSamplingSlowOnly(t *testing.T) {
 			t.Fatalf("trace tree incomplete:\n%s", r.Trace)
 		}
 	}
+
+	// Both execution forms keep the full tree: an unfiltered Run and a
+	// drained cursor scan the table, and each archived record carries its
+	// own root span, the scan operator, and the rows its caller received.
+	res, err := always.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := always.OpenCursor(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := cur.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rows)) != res.Stats.RowsProduced {
+		t.Fatalf("cursor returned %d rows, Run %d", len(rows), res.Stats.RowsProduced)
+	}
+	recs := arch.Runs(2) // newest first: the cursor, then the Run
+	for i, root := range []string{"cursor", "run"} {
+		r := recs[i]
+		if r.Kind != root || r.View != "rows" || r.Rows != res.Stats.RowsProduced || r.Error != "" {
+			t.Fatalf("%s record = %+v, want view rows with %d rows", root, r, res.Stats.RowsProduced)
+		}
+		if !r.Sampled || !strings.Contains(r.Trace, root) || !strings.Contains(r.Trace, "scan") {
+			t.Fatalf("%s record lost its operator tree:\n%s", root, r.Trace)
+		}
+		var spans []obs.SpanJSON
+		if err := json.Unmarshal(r.TraceJSON, &spans); err != nil {
+			t.Fatalf("%s record TraceJSON invalid: %v", root, err)
+		}
+		if len(spans) != 1 || spans[0].Name != root || findSpan(spans, "scan") == nil {
+			t.Fatalf("%s record TraceJSON is not one %s-rooted tree with a scan: %s", root, root, r.TraceJSON)
+		}
+	}
 }
 
 func TestTraceSamplingErrorsOnly(t *testing.T) {

@@ -2,7 +2,7 @@ package diag
 
 // The standard detector set and the generic rule evaluators they are built
 // from. Each detector keeps trailing state — a previous counter reading, a
-// previous histogram snapshot, an EMA baseline — so firing means "something
+// per-series crossing flag, an EMA baseline — so firing means "something
 // changed", not "a cumulative total is nonzero". Detectors read instruments
 // by exposition name through the registry's read-side lookups, so the set
 // can watch any layer's signals without compile-time coupling to it.
@@ -10,22 +10,19 @@ package diag
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // CounterDeltaDetector fires when a counter family's total (summed across
-// all its series) advances by at least Min between checks. The first check
+// all its series) advances between checks. The first check
 // primes the trailing reading without firing, so pre-existing totals at
 // monitor attach time are not anomalies.
 type CounterDeltaDetector struct {
 	DetectorName string
 	Registry     *obs.Registry
 	Metric       string
-	Min          int64 // default 1
 	Severity     string
 
 	primed bool
@@ -45,11 +42,7 @@ func (d *CounterDeltaDetector) Check(now time.Time) []Anomaly {
 	}
 	delta := cur - d.last
 	d.last = cur
-	min := d.Min
-	if min <= 0 {
-		min = 1
-	}
-	if delta < float64(min) {
+	if delta < 1 {
 		return nil
 	}
 	return []Anomaly{{
@@ -61,14 +54,13 @@ func (d *CounterDeltaDetector) Check(now time.Time) []Anomaly {
 
 // GaugeBoundDetector fires when any series of a gauge family exceeds Bound,
 // with hysteresis per label tuple: it fires on the crossing, then stays
-// quiet until the series drops back to Rearm (default Bound/2) — a stuck
+// quiet until the series drops back to half the bound — a stuck
 // condition yields one anomaly, not one per tick.
 type GaugeBoundDetector struct {
 	DetectorName string
 	Registry     *obs.Registry
 	Metric       string
 	Bound        float64
-	Rearm        float64 // default Bound/2
 	Severity     string
 
 	active map[string]bool
@@ -77,10 +69,6 @@ type GaugeBoundDetector struct {
 func (d *GaugeBoundDetector) Name() string { return d.DetectorName }
 
 func (d *GaugeBoundDetector) Check(now time.Time) []Anomaly {
-	rearm := d.Rearm
-	if rearm <= 0 {
-		rearm = d.Bound / 2
-	}
 	if d.active == nil {
 		d.active = map[string]bool{}
 	}
@@ -95,140 +83,66 @@ func (d *GaugeBoundDetector) Check(now time.Time) []Anomaly {
 				Value: sv.Value, Baseline: d.Bound,
 				Detail: fmt.Sprintf("%s%s = %g over bound %g", d.Metric, labelSuffix(sv.Labels), sv.Value, d.Bound),
 			})
-		case sv.Value <= rearm && d.active[key]:
+		case sv.Value <= d.Bound/2 && d.active[key]:
 			delete(d.active, key)
 		}
 	}
 	return out
 }
 
-// HistogramTailDetector fires when at least Min new observations landed
-// above Threshold (a bucket bound of the watched histogram) since the last
-// check — the rule behind the WAL fsync-stall detector: any fsync slower
-// than the stall bound is an anomaly, however healthy the median is.
-type HistogramTailDetector struct {
-	DetectorName string
-	Registry     *obs.Registry
-	Metric       string
-	Threshold    float64 // seconds; align with a bucket bound for exactness
-	Min          int64   // default 1
-	Severity     string
+// Rule constants for the stock detectors.
+const (
+	// latencySpikeFactor is how many times the trailing baseline a window
+	// p95 must reach to count as a spike.
+	latencySpikeFactor = 3
+	// latencyMinSamples is the fewest window samples a p95 is judged on.
+	latencyMinSamples = 16
+	// defaultLatencyFloor is the spike floor when the server sets no
+	// latency target.
+	defaultLatencyFloor = 10 * time.Millisecond
+	// burnBound is the SLO burn-rate bound in milli-units: the error budget
+	// burning at twice its sustainable rate.
+	burnBound = 2000
+	// pinAgeBound flags snapshot pins held longer than this.
+	pinAgeBound = time.Minute
+	// goroutineSpikeFactor and goroutineMinAbs: a goroutine count over both
+	// the factor times its trailing baseline and the absolute floor is a
+	// leak or a stampede, not normal serving concurrency.
+	goroutineSpikeFactor = 3
+	goroutineMinAbs      = 200
+)
 
-	primed   bool
-	lastTail int64
-}
-
-func (d *HistogramTailDetector) Name() string { return d.DetectorName }
-
-func (d *HistogramTailDetector) Check(now time.Time) []Anomaly {
-	h, ok := d.Registry.FindHistogram(d.Metric)
-	if !ok {
-		return nil
-	}
-	tail := h.Snapshot().CountAbove(d.Threshold)
-	if !d.primed {
-		d.primed, d.lastTail = true, tail
-		return nil
-	}
-	delta := tail - d.lastTail
-	d.lastTail = tail
-	min := d.Min
-	if min <= 0 {
-		min = 1
-	}
-	if delta < min {
-		return nil
-	}
-	return []Anomaly{{
-		Time: now, Detector: d.DetectorName, Severity: d.Severity,
-		Value: float64(delta), Baseline: d.Threshold,
-		Detail: fmt.Sprintf("%d observation(s) of %s above %gs since last check", delta, d.Metric, d.Threshold),
-	}}
-}
-
-// LatencySpikeDetector watches a sliding window of recent request latencies
-// (fed from wide events via ObserveEvent, or directly via Offer) and fires
-// when the window's p95 exceeds Factor times the trailing baseline — an EMA
-// of previous healthy p95 readings — and the absolute Floor. The baseline
-// only absorbs non-anomalous readings, so a spike cannot normalize itself
-// into the baseline while it is being reported.
+// LatencySpikeDetector reads a window of recent request latencies (in
+// nanoseconds; the serving layer's own request window) and fires when its
+// p95 exceeds latencySpikeFactor times the trailing baseline — an EMA of
+// previous healthy p95 readings — and the absolute Floor. The baseline only
+// absorbs non-anomalous readings, so a spike cannot normalize itself into
+// the baseline while it is being reported.
 type LatencySpikeDetector struct {
 	DetectorName string
-	Factor       float64       // default 3
+	Window       *obs.Window
 	Floor        time.Duration // default 10ms
-	MinSamples   int           // default 16
-	WindowSize   int           // default 256
-
-	mu     sync.Mutex
-	ring   []float64 // seconds
-	next   int
-	filled int
 
 	baseline float64 // EMA of healthy window p95s, seconds
 }
 
 func (d *LatencySpikeDetector) Name() string { return d.DetectorName }
 
-// Offer records one request latency into the window.
-func (d *LatencySpikeDetector) Offer(wall time.Duration) {
-	d.mu.Lock()
-	if d.ring == nil {
-		n := d.WindowSize
-		if n <= 0 {
-			n = 256
-		}
-		d.ring = make([]float64, n)
-	}
-	d.ring[d.next] = wall.Seconds()
-	d.next = (d.next + 1) % len(d.ring)
-	if d.filled < len(d.ring) {
-		d.filled++
-	}
-	d.mu.Unlock()
-}
-
-// ObserveEvent implements EventObserver: every published wide event feeds
-// its total latency into the window.
-func (d *LatencySpikeDetector) ObserveEvent(ev obs.Event) {
-	if ev.TotalNS > 0 {
-		d.Offer(time.Duration(ev.TotalNS))
-	}
-}
-
-func (d *LatencySpikeDetector) p95() (float64, int) {
-	d.mu.Lock()
-	buf := make([]float64, d.filled)
-	copy(buf, d.ring[:d.filled])
-	d.mu.Unlock()
-	if len(buf) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(buf)
-	return buf[(len(buf)*95)/100], len(buf)
-}
-
 func (d *LatencySpikeDetector) Check(now time.Time) []Anomaly {
-	minSamples := d.MinSamples
-	if minSamples <= 0 {
-		minSamples = 16
-	}
-	factor := d.Factor
-	if factor <= 1 {
-		factor = 3
-	}
 	floor := d.Floor
 	if floor <= 0 {
-		floor = 10 * time.Millisecond
+		floor = defaultLatencyFloor
 	}
-	p95, n := d.p95()
-	if n < minSamples {
+	v, n := d.Window.Percentile(95)
+	if n < latencyMinSamples {
 		return nil
 	}
+	p95 := time.Duration(v).Seconds()
 	if d.baseline == 0 {
 		d.baseline = p95
 		return nil
 	}
-	if p95 > floor.Seconds() && p95 > factor*d.baseline {
+	if p95 > floor.Seconds() && p95 > latencySpikeFactor*d.baseline {
 		return []Anomaly{{
 			Time: now, Detector: d.DetectorName, Severity: SeverityCritical,
 			Value: p95, Baseline: d.baseline,
@@ -242,12 +156,10 @@ func (d *LatencySpikeDetector) Check(now time.Time) []Anomaly {
 }
 
 // GoroutineSpikeDetector fires when the process goroutine count exceeds
-// Factor times its trailing EMA baseline and MinAbs — a leak or a stampede,
-// not normal serving concurrency.
+// goroutineSpikeFactor times its trailing EMA baseline and goroutineMinAbs.
+// Count substitutes the reading (tests); nil reads runtime.NumGoroutine.
 type GoroutineSpikeDetector struct {
 	DetectorName string
-	Factor       float64 // default 3
-	MinAbs       float64 // default 200
 	Count        func() float64
 
 	baseline float64
@@ -260,20 +172,12 @@ func (d *GoroutineSpikeDetector) Check(now time.Time) []Anomaly {
 	if count == nil {
 		count = func() float64 { return float64(runtime.NumGoroutine()) }
 	}
-	factor := d.Factor
-	if factor <= 1 {
-		factor = 3
-	}
-	minAbs := d.MinAbs
-	if minAbs <= 0 {
-		minAbs = 200
-	}
 	cur := count()
 	if d.baseline == 0 {
 		d.baseline = cur
 		return nil
 	}
-	if cur > minAbs && cur > factor*d.baseline {
+	if cur > goroutineMinAbs && cur > goroutineSpikeFactor*d.baseline {
 		return []Anomaly{{
 			Time: now, Detector: d.DetectorName, Severity: SeverityCritical,
 			Value: cur, Baseline: d.baseline,
@@ -284,57 +188,33 @@ func (d *GoroutineSpikeDetector) Check(now time.Time) []Anomaly {
 	return nil
 }
 
-// DetectorOptions tunes StandardDetectors. Zero values default sanely.
-type DetectorOptions struct {
-	// LatencyFactor/LatencyFloor parameterize the p95 spike rule
-	// (default 3x over a 10ms floor).
-	LatencyFactor float64
-	LatencyFloor  time.Duration
-	// BurnBound is the SLO burn-rate bound in milli-units (default 2000 —
-	// the error budget burning at twice its sustainable rate).
-	BurnBound float64
-	// WALStallThreshold is the fsync duration that counts as a stall
-	// (default 100ms; align with a xsltdb_wal_fsync_seconds bucket bound).
-	WALStallThreshold float64
-	// PinAgeBound flags snapshot pins older than this (default 60s).
-	PinAgeBound time.Duration
-	// GoroutineFactor is the goroutine-spike multiple (default 3).
-	GoroutineFactor float64
-}
-
 // StandardDetectors builds the engine's stock detector set over reg
-// (normally obs.Default, where every layer registers its instruments):
+// (normally obs.Default, where every layer registers its instruments).
+// latency is the serving layer's request-latency window (nanoseconds) and
+// floor the latency-spike floor, normally the server's p95 target (0 keeps
+// the 10ms default):
 //
-//	latency-spike        window p95 vs trailing baseline (event-fed)
+//	latency-spike        window p95 vs trailing baseline
 //	slo-burn             per-tenant burn rate over bound, with hysteresis
 //	breaker-trip         any circuit-breaker trip since last check
-//	wal-fsync-stall      fsync observations above the stall threshold
+//	wal-fsync-stall      any WAL fsync the engine counted as a stall
 //	snapshot-pin-age     oldest MVCC pin older than bound
 //	event-drops          wide events dropped at the full bus buffer
 //	goroutine-spike      goroutine count vs trailing baseline
-func StandardDetectors(reg *obs.Registry, o DetectorOptions) []Detector {
-	if o.BurnBound <= 0 {
-		o.BurnBound = 2000
-	}
-	if o.WALStallThreshold <= 0 {
-		o.WALStallThreshold = 0.1
-	}
-	if o.PinAgeBound <= 0 {
-		o.PinAgeBound = time.Minute
-	}
+func StandardDetectors(reg *obs.Registry, latency *obs.Window, floor time.Duration) []Detector {
 	return []Detector{
-		&LatencySpikeDetector{DetectorName: "latency-spike", Factor: o.LatencyFactor, Floor: o.LatencyFloor},
+		&LatencySpikeDetector{DetectorName: "latency-spike", Window: latency, Floor: floor},
 		&GaugeBoundDetector{DetectorName: "slo-burn", Registry: reg,
-			Metric: "xsltd_slo_burn_rate_milli", Bound: o.BurnBound, Severity: SeverityCritical},
+			Metric: "xsltd_slo_burn_rate_milli", Bound: burnBound, Severity: SeverityCritical},
 		&CounterDeltaDetector{DetectorName: "breaker-trip", Registry: reg,
 			Metric: "xsltdb_breaker_trips_total", Severity: SeverityCritical},
-		&HistogramTailDetector{DetectorName: "wal-fsync-stall", Registry: reg,
-			Metric: "xsltdb_wal_fsync_seconds", Threshold: o.WALStallThreshold, Severity: SeverityCritical},
+		&CounterDeltaDetector{DetectorName: "wal-fsync-stall", Registry: reg,
+			Metric: "xsltdb_wal_slow_fsyncs_total", Severity: SeverityCritical},
 		&GaugeBoundDetector{DetectorName: "snapshot-pin-age", Registry: reg,
-			Metric: "xsltdb_snapshot_pin_oldest_age_seconds", Bound: o.PinAgeBound.Seconds(), Severity: SeverityWarn},
+			Metric: "xsltdb_snapshot_pin_oldest_age_seconds", Bound: pinAgeBound.Seconds(), Severity: SeverityWarn},
 		&CounterDeltaDetector{DetectorName: "event-drops", Registry: reg,
 			Metric: "xsltd_events_dropped_total", Severity: SeverityWarn},
-		&GoroutineSpikeDetector{DetectorName: "goroutine-spike", Factor: o.GoroutineFactor},
+		&GoroutineSpikeDetector{DetectorName: "goroutine-spike"},
 	}
 }
 

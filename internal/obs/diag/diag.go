@@ -9,8 +9,8 @@
 // The pieces compose bottom-up:
 //
 //   - Detector: one rule evaluated against its own trailing state — a
-//     counter delta, a histogram-tail delta, a windowed quantile against a
-//     trailing baseline. Firing yields typed Anomaly records.
+//     counter delta, a gauge bound, a windowed quantile against a trailing
+//     baseline. Firing yields typed Anomaly records.
 //   - Monitor: runs the detectors on a ticker AND opportunistically on wide-
 //     event publish (it is an obs.EventSink), retains a bounded anomaly
 //     ring for the console's /debug/anomalies page, and hands each anomaly
@@ -19,9 +19,10 @@
 //     with bounded retention, debounced so an anomaly storm produces one
 //     bundle, not hundreds.
 //
-// Everything is pull-cheap: detectors read instruments that already exist;
-// the steady-state cost is a handful of atomic loads per tick plus one
-// latency offer per published event.
+// Everything is pull-cheap: detectors read instruments that already exist —
+// including the serving layer's own request-latency window — so the
+// steady-state cost is a handful of atomic loads and one window read per
+// tick, and nothing per request.
 package diag
 
 import (
@@ -53,8 +54,7 @@ type Anomaly struct {
 
 // Detector is one rule evaluator. Check is called from a single goroutine
 // at a time (the monitor serializes ticker and event-publish evaluations),
-// so implementations keep trailing state without locking unless they are
-// also fed from other goroutines (e.g. LatencySpikeDetector.Offer).
+// so implementations keep trailing state without locking.
 type Detector interface {
 	Name() string
 	Check(now time.Time) []Anomaly
@@ -89,13 +89,12 @@ type MonitorConfig struct {
 }
 
 // Monitor runs detectors and retains their anomalies. It is an
-// obs.EventSink: attached to the serving layer's event bus it feeds
-// latency observers and re-evaluates detectors on publish, so a burst of
-// bad requests is noticed at event speed rather than at the next tick.
+// obs.EventSink: attached to the serving layer's event bus it re-evaluates
+// detectors on publish, so a burst of bad requests is noticed at event
+// speed rather than at the next tick.
 type Monitor struct {
 	cfg       MonitorConfig
 	detectors []Detector
-	observers []EventObserver
 
 	// evalMu serializes detector evaluation between the ticker goroutine
 	// and event-publish calls; lastEval rate-limits publish-driven
@@ -113,15 +112,7 @@ type Monitor struct {
 	done      chan struct{}
 }
 
-// EventObserver is implemented by detectors that consume wide events (the
-// latency-spike detector): the monitor feeds every event it sees to every
-// observer before evaluating.
-type EventObserver interface {
-	ObserveEvent(ev obs.Event)
-}
-
-// NewMonitor builds a monitor over the given detectors. Detectors that also
-// implement EventObserver are fed each published event.
+// NewMonitor builds a monitor over the given detectors.
 func NewMonitor(cfg MonitorConfig, detectors ...Detector) *Monitor {
 	if cfg.Interval == 0 {
 		cfg.Interval = 5 * time.Second
@@ -132,18 +123,12 @@ func NewMonitor(cfg MonitorConfig, detectors ...Detector) *Monitor {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	m := &Monitor{
+	return &Monitor{
 		cfg:       cfg,
 		detectors: detectors,
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	for _, d := range detectors {
-		if o, ok := d.(EventObserver); ok {
-			m.observers = append(m.observers, o)
-		}
-	}
-	return m
 }
 
 // Start launches the background ticker (no-op when Interval < 0). Idempotent.
@@ -217,16 +202,12 @@ func (m *Monitor) Poll() {
 	}
 }
 
-// Emit implements obs.EventSink: feed event observers, then re-evaluate the
-// detectors if at least one interval has passed since the last evaluation —
-// so detectors run "on event publish" without an anomaly storm evaluating
-// them on every single request.
-func (m *Monitor) Emit(ev obs.Event) {
+// Emit implements obs.EventSink: re-evaluate the detectors if at least one
+// interval has passed since the last evaluation — so detectors run "on event
+// publish" without an anomaly storm evaluating them on every single request.
+func (m *Monitor) Emit(obs.Event) {
 	if m == nil {
 		return
-	}
-	for _, o := range m.observers {
-		o.ObserveEvent(ev)
 	}
 	last := m.lastEval.Load()
 	if m.cfg.Now().Sub(time.Unix(0, last)) >= m.cfg.Interval {

@@ -239,40 +239,17 @@ func TestGaugeBoundDetector(t *testing.T) {
 	}
 }
 
-// TestHistogramTailDetector: only new observations above the threshold fire.
-func TestHistogramTailDetector(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.NewHistogram("xsltdb_fsync_seconds", "t", []float64{0.01, 0.1, 1})
-	d := &HistogramTailDetector{DetectorName: "stall", Registry: reg,
-		Metric: "xsltdb_fsync_seconds", Threshold: 0.1}
-	now := time.Now()
-	h.Observe(0.5) // pre-existing tail before priming
-	if got := d.Check(now); got != nil {
-		t.Fatalf("priming fired: %v", got)
-	}
-	h.Observe(0.01)
-	h.Observe(0.05)
-	if got := d.Check(now); got != nil {
-		t.Fatalf("fast observations fired: %v", got)
-	}
-	h.Observe(0.3)
-	h.Observe(0.7)
-	got := d.Check(now)
-	if len(got) != 1 || got[0].Value != 2 {
-		t.Fatalf("stall check = %+v, want one anomaly with Value 2", got)
-	}
-}
-
 // TestLatencySpikeDetector: baseline primes from healthy traffic, a spike
-// over Factor x baseline fires, healthy readings keep absorbing.
+// over 3x baseline fires, healthy readings keep absorbing.
 func TestLatencySpikeDetector(t *testing.T) {
-	d := &LatencySpikeDetector{DetectorName: "p95", WindowSize: 32, MinSamples: 16}
+	w := obs.NewWindow(32)
+	d := &LatencySpikeDetector{DetectorName: "p95", Window: w}
 	now := time.Now()
 	if got := d.Check(now); got != nil {
 		t.Fatalf("empty window fired: %v", got)
 	}
 	for i := 0; i < 32; i++ {
-		d.ObserveEvent(obs.Event{TotalNS: int64(2 * time.Millisecond)})
+		w.Add(int64(2 * time.Millisecond))
 	}
 	if got := d.Check(now); got != nil { // primes baseline at ~2ms
 		t.Fatalf("baseline priming fired: %v", got)
@@ -281,7 +258,7 @@ func TestLatencySpikeDetector(t *testing.T) {
 		t.Fatalf("healthy window fired: %v", got)
 	}
 	for i := 0; i < 32; i++ {
-		d.Offer(80 * time.Millisecond) // p95 40x baseline, over the 10ms floor
+		w.Add(int64(80 * time.Millisecond)) // p95 40x baseline, over the 10ms floor
 	}
 	got := d.Check(now)
 	if len(got) != 1 || got[0].Severity != SeverityCritical {
@@ -313,11 +290,12 @@ func TestGoroutineSpikeDetector(t *testing.T) {
 
 // TestMonitorEmitPolls: with a negative interval, every published event
 // re-evaluates the detectors — the deterministic-test mode — and the
-// latency observer is fed.
+// latency-spike detector judges the window it was handed.
 func TestMonitorEmitPolls(t *testing.T) {
 	clock := newFakeClock()
 	fd := &firingDetector{}
-	ld := &LatencySpikeDetector{DetectorName: "lat"}
+	w := obs.NewWindow(64)
+	ld := &LatencySpikeDetector{DetectorName: "lat", Window: w}
 	m := NewMonitor(MonitorConfig{Interval: -1, Now: clock.Now}, fd, ld)
 	defer m.Close()
 	for i := 0; i < 3; i++ {
@@ -326,14 +304,30 @@ func TestMonitorEmitPolls(t *testing.T) {
 	if fd.fired != 3 {
 		t.Errorf("detector evaluated %d times over 3 events, want 3", fd.fired)
 	}
-	if _, n := ld.p95(); n != 3 {
-		t.Errorf("latency observer saw %d samples, want 3", n)
+	for i := 0; i < 32; i++ {
+		w.Add(int64(2 * time.Millisecond))
+	}
+	m.Emit(obs.Event{}) // primes the latency baseline
+	for i := 0; i < 64; i++ {
+		w.Add(int64(80 * time.Millisecond))
+	}
+	m.Emit(obs.Event{})
+	spikes := 0
+	for _, a := range m.Anomalies(0) {
+		if a.Detector == "lat" {
+			spikes++
+		}
+	}
+	if spikes != 1 {
+		t.Errorf("latency detector fired %d times over a window spike, want 1", spikes)
 	}
 }
 
 // TestStandardDetectors checks the stock set wires the expected rules.
 func TestStandardDetectors(t *testing.T) {
-	ds := StandardDetectors(obs.NewRegistry(), DetectorOptions{})
+	reg := obs.NewRegistry()
+	slow := reg.NewCounter("xsltdb_wal_slow_fsyncs_total", "t")
+	ds := StandardDetectors(reg, obs.NewWindow(16), 0)
 	want := map[string]bool{
 		"latency-spike": true, "slo-burn": true, "breaker-trip": true,
 		"wal-fsync-stall": true, "snapshot-pin-age": true,
@@ -345,6 +339,19 @@ func TestStandardDetectors(t *testing.T) {
 	for _, d := range ds {
 		if !want[d.Name()] {
 			t.Errorf("unexpected detector %q", d.Name())
+		}
+		if d.Name() != "wal-fsync-stall" {
+			continue
+		}
+		// The stall rule is the engine's own slow-fsync counter advancing.
+		now := time.Now()
+		d.Check(now) // primes
+		if got := d.Check(now); got != nil {
+			t.Errorf("wal-fsync-stall fired with no slow fsync: %v", got)
+		}
+		slow.Inc()
+		if got := d.Check(now); len(got) != 1 {
+			t.Errorf("wal-fsync-stall after one slow fsync = %v, want one anomaly", got)
 		}
 	}
 }

@@ -225,8 +225,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // HistogramSnapshot is a point-in-time copy of one histogram series: the
 // bucket layout, the per-bucket (non-cumulative) counts, and the running
-// count and sum. Detectors diff two snapshots to reason about only the
-// observations that arrived between checks — a cumulative histogram's
+// count and sum. Readers diff two snapshots to reason about only the
+// observations that arrived between them — a cumulative histogram's
 // quantiles never come back down, but its deltas do.
 type HistogramSnapshot struct {
 	Bounds []float64 // upper bounds, ascending (the +Inf bucket is implicit)
@@ -247,20 +247,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.s.bucketN[i].Load()
 	}
 	return s
-}
-
-// CountAbove returns how many observations landed strictly above the bucket
-// whose upper bound is <= bound — i.e. the tail count at bucket resolution.
-// Passing an exact bucket bound gives an exact tail; anything else rounds
-// down to the nearest bound below it.
-func (s HistogramSnapshot) CountAbove(bound float64) int64 {
-	tail := s.Count
-	for i, ub := range s.Bounds {
-		if ub <= bound {
-			tail -= s.Counts[i]
-		}
-	}
-	return tail
 }
 
 // FindHistogram resolves a registered histogram series by family name and

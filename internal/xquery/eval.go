@@ -418,7 +418,9 @@ func evalBinary(b *Binary, env *Env) (Seq, error) {
 		if hi < lo {
 			return nil, nil
 		}
-		if hi-lo > 10_000_000 {
+		// hi >= lo, so the unsigned difference is exact even when it
+		// overflows int (a NaN bound converts to the minimum int).
+		if uint64(hi-lo) > 10_000_000 {
 			return nil, dynErrf("range %d to %d too large", lo, hi)
 		}
 		out := make(Seq, 0, hi-lo+1)

@@ -4,8 +4,9 @@ package serve
 // boot a server with the flight recorder armed, induce the two incident
 // shapes the detector set exists for — a WAL fsync stall (via a faultpoint
 // sleep at the fsync site) and a latency-spike overload (slow requests
-// flooding the event stream) — and assert each produces exactly one bundle
-// inside the debounce window, containing every section an operator needs.
+// filling the server's latency window) — and assert each produces exactly
+// one bundle inside the debounce window, containing every section an
+// operator needs.
 
 import (
 	"encoding/json"
@@ -137,9 +138,10 @@ func TestDiagSmokeWALStall(t *testing.T) {
 	}
 }
 
-// TestDiagSmokeLatencySpike floods the event stream with healthy latencies,
-// then an overload 40x slower, and asserts the latency-spike detector
-// captures exactly one bundle inside the debounce window.
+// TestDiagSmokeLatencySpike fills the server's request-latency window with
+// healthy latencies, then an overload 40x slower, and asserts the
+// latency-spike detector captures exactly one bundle inside the debounce
+// window.
 func TestDiagSmokeLatencySpike(t *testing.T) {
 	diagDir := t.TempDir()
 	_, s := newDeptServer(t, Config{
@@ -153,7 +155,8 @@ func TestDiagSmokeLatencySpike(t *testing.T) {
 	// negative interval every Emit re-evaluates the detectors, so this is
 	// fully deterministic — no ticker involved.
 	for i := 0; i < 64; i++ {
-		m.Emit(obs.Event{TotalNS: int64(2 * time.Millisecond)})
+		s.window.Add(int64(2 * time.Millisecond))
+		m.Emit(obs.Event{})
 	}
 	if got := len(m.Anomalies(0)); got != 0 {
 		t.Fatalf("healthy traffic fired %d anomalies: %+v", got, m.Anomalies(0))
@@ -161,8 +164,47 @@ func TestDiagSmokeLatencySpike(t *testing.T) {
 	// Overload: 80ms requests push the window p95 far over 3x baseline and
 	// the 10ms floor.
 	for i := 0; i < 256; i++ {
-		m.Emit(obs.Event{TotalNS: int64(80 * time.Millisecond)})
+		s.window.Add(int64(80 * time.Millisecond))
+		m.Emit(obs.Event{})
 	}
+	assertBundle(t, diagDir, "latency-spike")
+}
+
+// TestDiagSmokeSpikeWithoutEvents: the latency-spike detector reads the
+// server's own request window, so it fires with the wide-event pipeline off.
+// Real requests go through the handler — healthy ones, then ones slowed by
+// a sleep at every query row — and one poll captures exactly one bundle.
+func TestDiagSmokeSpikeWithoutEvents(t *testing.T) {
+	defer faultpoint.Reset()
+	diagDir := t.TempDir()
+	_, s := newDeptServer(t, Config{
+		CacheCapacity: -1, // every request executes
+		DiagDir:       diagDir, DiagInterval: -1, DiagDebounce: time.Minute,
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	m := s.Monitor()
+
+	for i := 0; i < 32; i++ {
+		if resp, body := get(t, ts, "/v1/transform/paper", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthy request: status %d body %q", resp.StatusCode, body)
+		}
+	}
+	m.Poll() // primes the trailing baseline
+	m.Poll()
+	if got := m.Anomalies(0); len(got) != 0 {
+		t.Fatalf("healthy traffic fired anomalies: %+v", got)
+	}
+
+	faultpoint.EnableSleep("sqlxml.query.next", 15*time.Millisecond)
+	for i := 0; i < 8; i++ {
+		if resp, body := get(t, ts, "/v1/transform/paper", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("slow request: status %d body %q", resp.StatusCode, body)
+		}
+	}
+	faultpoint.Disable("sqlxml.query.next")
+	m.Poll()
 	assertBundle(t, diagDir, "latency-spike")
 }
 

@@ -51,8 +51,10 @@ type Config struct {
 	// TargetP95 sheds new executions with 429 while the sliding p95 of
 	// recent request latencies exceeds it (0 = never shed on latency).
 	TargetP95 time.Duration
-	// Window is the number of recent latencies the shedding p95 is
-	// computed over (default 256).
+	// Window is the number of recent requests the server's sliding windows
+	// hold (default 256). One request-latency window feeds latency shedding,
+	// /readyz and the diagnostics latency-spike detector; each tenant's SLO
+	// burn rate is read over a window of the same length.
 	Window int
 	// RetryAfter is the hint returned with every 429 (default 1s).
 	RetryAfter time.Duration
@@ -105,9 +107,11 @@ type Config struct {
 // Server serves registered transforms over HTTP. Create with New, register
 // transforms, then mount Handler.
 type Server struct {
-	cfg    Config
-	db     *xsltdb.Database
-	window *latencyWindow
+	cfg Config
+	db  *xsltdb.Database
+	// window holds the latencies of the most recent requests, recorded once
+	// per request in finishTelemetry.
+	window *obs.Window
 	cache  *resultCache
 	global chan struct{} // global in-flight slots, nil = unlimited
 
@@ -195,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		db:         cfg.DB,
-		window:     newLatencyWindow(cfg.Window),
+		window:     obs.NewWindow(cfg.Window),
 		cache:      newResultCache(cfg.CacheCapacity),
 		transforms: map[string]*transformDef{},
 		compiled:   map[compiledKey]*xsltdb.CompiledTransform{},
@@ -220,17 +224,14 @@ func New(cfg Config) (*Server, error) {
 			OnAnomaly: func(a diag.Anomaly) {
 				rec.TryCapture(a.Detector)
 			},
-		}, diag.StandardDetectors(obs.Default, diag.DetectorOptions{
-			LatencyFloor: cfg.TargetP95,
-		})...)
+		}, diag.StandardDetectors(obs.Default, s.window, cfg.TargetP95)...)
 		s.monitor.Start()
 	}
 	if cfg.EnableEvents || len(cfg.EventSinks) > 0 {
 		s.eventsRing = obs.NewRingSink(0)
 		sinks := append(append([]obs.EventSink{}, cfg.EventSinks...), s.eventsRing)
 		if s.monitor != nil {
-			// The monitor rides the bus: every published event feeds the
-			// latency-spike window, and detectors re-evaluate at event
+			// The monitor rides the bus so detectors re-evaluate at event
 			// speed (rate-limited to one pass per interval).
 			sinks = append(sinks, s.monitor)
 		}
@@ -409,7 +410,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "database closed", http.StatusServiceUnavailable)
 	case !s.ready.Load():
 		http.Error(w, "starting up", http.StatusServiceUnavailable)
-	case s.cfg.TargetP95 > 0 && s.window.p95() > s.cfg.TargetP95:
+	case s.overTarget():
 		http.Error(w, "shedding load (p95 over target)", http.StatusServiceUnavailable)
 	default:
 		w.WriteHeader(http.StatusOK)
@@ -497,7 +498,6 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	rows, stats, role, err := s.execute(r, def, tenant, ts, lim, key, runOpts, tel)
 	tel.ev.Coalesce = role
 	if err != nil {
-		s.window.record(time.Since(tel.start))
 		if errors.Is(err, errShedQuota) || errors.Is(err, errShedLatency) {
 			ts.shed.Add(1)
 			reason := "quota"
@@ -534,7 +534,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	s.finishTelemetry(tel, tenant, "ok", http.StatusOK, nil, &stats)
 }
 
-// writeRows writes a successful response and records its latency.
+// writeRows writes a successful response and counts it.
 func (s *Server) writeRows(w http.ResponseWriter, start time.Time, tenant, outcome string, rows []string, cache, strategy string) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.Header().Set("X-Xsltd-Cache", cache)
@@ -546,9 +546,7 @@ func (s *Server) writeRows(w http.ResponseWriter, start time.Time, tenant, outco
 		_, _ = w.Write([]byte(row))
 		_, _ = w.Write([]byte("\n"))
 	}
-	d := time.Since(start)
-	s.window.record(d)
-	mRequestSeconds.Observe(d.Seconds())
+	mRequestSeconds.Observe(time.Since(start).Seconds())
 	mRequests.With(tenant, outcome).Inc()
 }
 
@@ -599,7 +597,7 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 	// Leader admission: latency shedding first (cheapest check), then the
 	// tenant's slot, then a global slot.
 	adm := tel.root.Start("admission")
-	if s.cfg.TargetP95 > 0 && s.window.p95() > s.cfg.TargetP95 {
+	if s.overTarget() {
 		c.err = errShedLatency
 		adm.SetAttr("decision", "shed-latency")
 		adm.End()
@@ -641,6 +639,17 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 	c.rows, c.stats = res.Rows, res.Stats
 	s.cache.put(key, res.Rows)
 	return res.Rows, res.Stats, "leader", nil
+}
+
+// overTarget reports whether the p95 of recent request latencies exceeds
+// TargetP95 — the latency-shedding and readiness rule. It stays false while
+// the window holds fewer than 8 samples, so a cold server never sheds.
+func (s *Server) overTarget() bool {
+	if s.cfg.TargetP95 <= 0 {
+		return false
+	}
+	p95, n := s.window.Percentile(95)
+	return n >= 8 && time.Duration(p95) > s.cfg.TargetP95
 }
 
 // admit takes the tenant's slot and a global slot, or sheds.

@@ -11,6 +11,8 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 type sloTracker struct {
@@ -19,14 +21,7 @@ type sloTracker struct {
 	window    int
 
 	mu      sync.Mutex
-	tenants map[string]*sloWindow
-}
-
-type sloWindow struct {
-	bad  []bool // ring of request verdicts
-	next int
-	n    int // filled entries, up to len(bad)
-	sum  int // bad entries currently in the ring
+	tenants map[string]*obs.Window // per tenant: 1 per bad request, 0 per good
 }
 
 func newSLOTracker(target time.Duration, objective float64, window int) *sloTracker {
@@ -38,33 +33,25 @@ func newSLOTracker(target time.Duration, objective float64, window int) *sloTrac
 	}
 	return &sloTracker{
 		target: target, objective: objective, window: window,
-		tenants: map[string]*sloWindow{},
+		tenants: map[string]*obs.Window{},
 	}
 }
 
 // record folds one finished request into the tenant's window and returns the
-// updated burn rate ×1000 for the gauge.
+// updated burn rate ×1000 for the gauge: the window's mean is the fraction
+// of recent requests that were bad.
 func (t *sloTracker) record(tenant string, wall time.Duration, failed bool) int64 {
-	bad := failed || (t.target > 0 && wall > t.target)
+	var bad int64
+	if failed || (t.target > 0 && wall > t.target) {
+		bad = 1
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	w := t.tenants[tenant]
 	if w == nil {
-		w = &sloWindow{bad: make([]bool, t.window)}
+		w = obs.NewWindow(t.window)
 		t.tenants[tenant] = w
 	}
-	if w.n == len(w.bad) {
-		if w.bad[w.next] {
-			w.sum--
-		}
-	} else {
-		w.n++
-	}
-	w.bad[w.next] = bad
-	if bad {
-		w.sum++
-	}
-	w.next = (w.next + 1) % len(w.bad)
-	badFrac := float64(w.sum) / float64(w.n)
-	return int64(badFrac / (1 - t.objective) * 1000)
+	t.mu.Unlock()
+	w.Add(bad)
+	return int64(w.Mean() / (1 - t.objective) * 1000)
 }

@@ -7,7 +7,8 @@ package serve
 // finishTelemetry runs exactly once per request, whatever the outcome: it
 // closes the serve-layer root span, completes the event (outcome, engine
 // work, WAL attribution, latency breakdown), publishes it, and folds the
-// request into the per-tenant latency and SLO instruments.
+// request into the server's latency window and the per-tenant latency and
+// SLO instruments.
 
 import (
 	"net/http"
@@ -80,8 +81,9 @@ func (s *Server) beginTelemetry(r *http.Request, def *transformDef, tenant strin
 }
 
 // finishTelemetry completes the request's wide event and publishes it,
-// closes the serve-layer span tree, records per-tenant latency and SLO
-// state, and releases the trace. Called exactly once per request.
+// closes the serve-layer span tree, records the request in the latency
+// window and the per-tenant latency and SLO state, and releases the trace.
+// Called exactly once per request.
 func (s *Server) finishTelemetry(tel *reqTel, tenant, outcome string, status int, err error, stats *xsltdb.ExecStats) {
 	total := time.Since(tel.start)
 
@@ -122,6 +124,7 @@ func (s *Server) finishTelemetry(tel *reqTel, tenant, outcome string, status int
 		}
 	}
 
+	s.window.Add(int64(total))
 	mTenantRequestSeconds.With(tenant).Observe(total.Seconds())
 	failed := status >= 500 || status == http.StatusTooManyRequests
 	if s.slo != nil {

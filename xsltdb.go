@@ -926,10 +926,11 @@ func applyStages(stages []chainStage, sps []*obs.Span, row string, g *governor.G
 }
 
 // stageSpans opens one operator span per chained stage under a "chain" root
-// span of tr (nil-safe: a nil trace yields nil everywhere, and applyStages
-// skips all span work). The cursor Ends the returned root at release.
+// span of tr (nil-safe: a nil trace or an unchained run yields nil
+// everywhere, and applyStages skips all span work). The cursor Ends the
+// returned root at release.
 func stageSpans(tr *obs.Trace, stages []chainStage) ([]*obs.Span, *obs.Span) {
-	if tr == nil {
+	if tr == nil || len(stages) == 0 {
 		return nil, nil
 	}
 	root := tr.Start("chain")
